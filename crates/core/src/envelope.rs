@@ -33,7 +33,6 @@ use harvester_mna::waveform::Waveform;
 use harvester_mna::{options, MnaError};
 use harvester_numerics::fault::FaultInjector;
 use harvester_numerics::interp::LinearInterpolator;
-use harvester_numerics::ode::{rk4, OdeSystem};
 use harvester_numerics::stats::mean;
 
 /// How each storage-voltage grid point reaches the periodic steady state it
@@ -508,24 +507,15 @@ impl EnvelopeSimulator {
     /// characteristic (useful when sweeping storage sizes).
     pub fn integrate_envelope(&self, characteristic: &ChargingCharacteristic) -> ChargingCurve {
         let storage = self.config.storage;
-        let envelope = EnvelopeOde {
-            characteristic,
-            capacitance: storage.capacitance,
-            leakage_resistance: storage.leakage_resistance,
+        // C·dV/dt = I(V) − V/R_leak, with the characteristic read at V ≥ 0.
+        let slope = |v: f64| {
+            let v = v.max(0.0);
+            let charging = characteristic.current_at(v);
+            let leakage = v / storage.leakage_resistance;
+            (charging - leakage) / storage.capacitance
         };
         let dt = (self.options.horizon / self.options.output_points.max(2) as f64).max(1e-3);
-        let traj = rk4(
-            &envelope,
-            &[storage.initial_voltage],
-            0.0,
-            self.options.horizon,
-            dt,
-        )
-        .expect("envelope integration parameters are validated by construction");
-        ChargingCurve {
-            times: traj.times.clone(),
-            voltages: traj.component(0),
-        }
+        integrate_rk4(slope, storage.initial_voltage, self.options.horizon, dt)
     }
 
     /// The measurement netlist: the harvester with a DC source clamping the
@@ -723,23 +713,28 @@ fn clamp_charging_current(result: &TransientResult, t_settle: f64) -> f64 {
     mean(&samples)
 }
 
-struct EnvelopeOde<'a> {
-    characteristic: &'a ChargingCharacteristic,
-    capacitance: f64,
-    leakage_resistance: f64,
-}
-
-impl OdeSystem for EnvelopeOde<'_> {
-    fn dimension(&self) -> usize {
-        1
+/// Classic fixed-step RK4 for the autonomous scalar ODE `dv/dt = slope(v)`
+/// from `(0, v0)` to `t1`, sampling every step; the last step is shortened
+/// to land on `t1` exactly.
+fn integrate_rk4(slope: impl Fn(f64) -> f64, v0: f64, t1: f64, dt: f64) -> ChargingCurve {
+    let mut t = 0.0;
+    let mut v = v0;
+    let mut curve = ChargingCurve {
+        times: vec![t],
+        voltages: vec![v],
+    };
+    while t < t1 - 1e-15 {
+        let h = dt.min(t1 - t);
+        let k1 = slope(v);
+        let k2 = slope(v + 0.5 * h * k1);
+        let k3 = slope(v + 0.5 * h * k2);
+        let k4 = slope(v + h * k3);
+        v += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+        t += h;
+        curve.times.push(t);
+        curve.voltages.push(v);
     }
-
-    fn derivative(&self, _t: f64, x: &[f64], dxdt: &mut [f64]) {
-        let v = x[0].max(0.0);
-        let charging = self.characteristic.current_at(v);
-        let leakage = v / self.leakage_resistance;
-        dxdt[0] = (charging - leakage) / self.capacitance;
-    }
+    curve
 }
 
 #[cfg(test)]
@@ -854,6 +849,33 @@ mod tests {
         assert!(mid > 0.0 && mid <= curve.final_voltage() + 1e-9);
         assert_eq!(curve.voltage_at(-1.0), curve.voltages[0]);
         assert_eq!(curve.voltage_at(1e9), curve.final_voltage());
+        // Pinned bit for bit: a reordered floating-point expression in the
+        // measurement or the RK4 envelope integration changes these.
+        assert_eq!(curve.times.len(), 51);
+        assert_eq!(curve.times[50].to_bits(), 0x4082_c000_0000_0000); // 600 s
+        let pinned: [(usize, u64); 6] = [
+            (1, 0x3fb1_04ae_95bd_e038),
+            (10, 0x3fe1_84cf_3b4a_f40b),
+            (20, 0x3fec_b078_34a6_0226),
+            (30, 0x3ff1_f7a1_ef2a_ceda),
+            (40, 0x3ff4_85b9_1209_db81),
+            (50, 0x3ff6_5800_0bd4_f7d1),
+        ];
+        for (i, bits) in pinned {
+            assert_eq!(
+                curve.voltages[i].to_bits(),
+                bits,
+                "sample {i}: {:e} V",
+                curve.voltages[i]
+            );
+        }
+    }
+
+    #[test]
+    fn rk4_matches_exponential_decay() {
+        let curve = integrate_rk4(|v| -v, 1.0, 1.0, 1e-3);
+        assert!((curve.times.last().unwrap() - 1.0).abs() < 1e-12);
+        assert!((curve.final_voltage() - (-1.0f64).exp()).abs() < 1e-9);
     }
 
     #[test]

@@ -79,20 +79,22 @@ pub trait Device {
 
     /// Contributes residual and Jacobian entries for the current Newton
     /// iterate.
-    fn stamp(&self, ctx: &mut StampContext<'_>);
-
-    /// Declares which Jacobian entries [`Device::stamp`] may ever write — the
-    /// device's contribution to the fixed MNA sparsity pattern the sparse
-    /// solver backend factorises symbolically once per circuit.
     ///
-    /// The declared pattern must be a **superset** of every entry `stamp`
-    /// touches over the whole transient (the sparse assembly panics on a
-    /// stamp outside the pattern). The default implementation conservatively
-    /// marks the entire matrix, which is always correct but forfeits
-    /// sparsity; every device shipped with this workspace overrides it.
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.mark_dense();
-    }
+    /// The engine also derives the sparse backend's fixed Jacobian pattern
+    /// from this method: before a sparse run it calls `stamp` once with a
+    /// recording [`JacobianView`] (all unknowns at zero, the states of
+    /// [`Device::initial_state`], time zero) and keeps every position a
+    /// derivative call names. The recording run must therefore name every
+    /// position any later call may stamp:
+    ///
+    /// * which derivative calls are made may not depend on unknown values,
+    ///   states or time;
+    /// * a derivative that vanishes somewhere (a switch that opens, a
+    ///   limiter that saturates) is still stamped, as an explicit `0.0`.
+    ///
+    /// Stamping a position the recording run did not name panics on the
+    /// sparse backend.
+    fn stamp(&self, ctx: &mut StampContext<'_>);
 
     /// Contributes the device's small-signal (AC) excitation phasor to the
     /// complex right-hand side of an AC analysis
@@ -166,9 +168,13 @@ pub enum JacobianView<'a> {
     /// Dense backend: stamps accumulate into a dense [`Matrix`].
     Dense(&'a mut Matrix),
     /// Sparse backend: stamps accumulate into a fixed-pattern CSR matrix.
-    /// Stamping a position outside the pattern declared by
-    /// [`Device::stamp_pattern`] panics.
+    /// Stamping a position outside the pattern recorded from
+    /// [`Device::stamp`] panics.
     Sparse(&'a mut SparseMatrix),
+    /// Pattern recording: every derivative call appends its `(row, col)`
+    /// position and the value is dropped. The engine derives the sparse
+    /// pattern through this view (see [`Device::stamp`]).
+    Record(&'a mut Vec<(usize, usize)>),
 }
 
 impl JacobianView<'_> {
@@ -176,90 +182,8 @@ impl JacobianView<'_> {
         match self {
             JacobianView::Dense(m) => m[(row, col)] += value,
             JacobianView::Sparse(s) => s.add_at(row, col, value),
+            JacobianView::Record(entries) => entries.push((row, col)),
         }
-    }
-}
-
-/// The view through which a device declares its Jacobian sparsity pattern
-/// (see [`Device::stamp_pattern`]).
-///
-/// The marking methods mirror the derivative-stamping methods of
-/// [`StampContext`], so a `stamp_pattern` implementation is usually a
-/// value-free copy of the derivative calls in `stamp`. Ground rows/columns
-/// are discarded exactly as they are during stamping.
-pub struct PatternContext<'a> {
-    node_unknowns: usize,
-    extra_base: usize,
-    entries: &'a mut Vec<(usize, usize)>,
-    dense: &'a mut bool,
-}
-
-impl<'a> PatternContext<'a> {
-    pub(crate) fn new(
-        node_unknowns: usize,
-        extra_base: usize,
-        entries: &'a mut Vec<(usize, usize)>,
-        dense: &'a mut bool,
-    ) -> Self {
-        PatternContext {
-            node_unknowns,
-            extra_base,
-            entries,
-            dense,
-        }
-    }
-
-    fn global_index(&self, unknown: Unknown) -> Option<usize> {
-        match unknown {
-            Unknown::Node(node) => {
-                if node.is_ground() {
-                    None
-                } else {
-                    Some(node.index() - 1)
-                }
-            }
-            Unknown::Extra(k) => Some(self.extra_base + k),
-        }
-    }
-
-    /// Number of non-ground nodes in the circuit whose pattern is being
-    /// collected.
-    pub fn node_unknown_count(&self) -> usize {
-        self.node_unknowns
-    }
-
-    /// Declares that `stamp` may call
-    /// [`StampContext::add_current_derivative`] with these arguments.
-    pub fn current_derivative(&mut self, node: NodeId, unknown: Unknown) {
-        if let (Some(row), Some(col)) = (
-            self.global_index(Unknown::Node(node)),
-            self.global_index(unknown),
-        ) {
-            self.entries.push((row, col));
-        }
-    }
-
-    /// Declares that `stamp` may call
-    /// [`StampContext::add_equation_derivative`] with these arguments.
-    pub fn equation_derivative(&mut self, equation: usize, unknown: Unknown) {
-        if let Some(col) = self.global_index(unknown) {
-            self.entries.push((self.extra_base + equation, col));
-        }
-    }
-
-    /// Declares the four entries of a conductance stamp between `a` and `b`
-    /// (the pattern of [`StampContext::stamp_conductance`]).
-    pub fn conductance(&mut self, a: NodeId, b: NodeId) {
-        self.current_derivative(a, Unknown::Node(a));
-        self.current_derivative(a, Unknown::Node(b));
-        self.current_derivative(b, Unknown::Node(a));
-        self.current_derivative(b, Unknown::Node(b));
-    }
-
-    /// Conservatively marks the whole matrix as potentially stamped: always
-    /// correct, but the sparse backend degenerates to a dense pattern.
-    pub fn mark_dense(&mut self) {
-        *self.dense = true;
     }
 }
 

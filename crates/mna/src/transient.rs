@@ -16,7 +16,8 @@
 //! * [`SolverBackend::Dense`] — dense LU with partial pivoting. Fastest for
 //!   the small systems (tens of unknowns) a single harvester produces.
 //! * [`SolverBackend::Sparse`] — CSR assembly into the fixed MNA sparsity
-//!   pattern declared by [`Device::stamp_pattern`](crate::device::Device::stamp_pattern), factored with a sparse LU
+//!   pattern recorded from one [`Device::stamp`](crate::device::Device::stamp)
+//!   call per device, factored with a sparse LU
 //!   whose symbolic analysis (pivot order, fill pattern, scatter map) is
 //!   computed **once per circuit** and reused across every Newton iteration
 //!   and time step.
@@ -30,7 +31,7 @@
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{JacobianView, PatternContext, StampContext};
+use crate::device::{JacobianView, StampContext};
 use crate::error::{ConvergenceReport, RecoveryStrategy};
 use crate::MnaError;
 use harvester_numerics::extrap::{divided_differences, extrapolate_rows, newton_eval};
@@ -1040,9 +1041,9 @@ const PREDICTOR_HISTORY: usize = 3;
 
 impl TransientWorkspace {
     /// Builds the workspace for `circuit`: computes the system layout,
-    /// resolves the solver backend and, on the sparse backend, collects the
-    /// circuit's Jacobian sparsity pattern from the devices'
-    /// [`Device::stamp_pattern`](crate::device::Device::stamp_pattern) declarations.
+    /// resolves the solver backend and, on the sparse backend, derives the
+    /// circuit's Jacobian sparsity pattern by recording one
+    /// [`Device::stamp`](crate::device::Device::stamp) call per device.
     ///
     /// # Errors
     ///
@@ -1053,34 +1054,15 @@ impl TransientWorkspace {
         let n = layout.n;
         let backend = options.backend.resolve(n);
         let jacobian = if backend == SolverBackend::Sparse {
-            let mut entries: Vec<(usize, usize)> = Vec::new();
-            let mut dense_fallback = false;
-            for (device, &extra_base) in circuit.devices().iter().zip(layout.extra_bases.iter()) {
-                let mut ctx = PatternContext::new(
-                    layout.node_unknowns,
-                    extra_base,
-                    &mut entries,
-                    &mut dense_fallback,
-                );
-                device.stamp_pattern(&mut ctx);
-            }
             let mut triplets = TripletMatrix::new(n, n);
-            if dense_fallback {
-                for r in 0..n {
-                    for c in 0..n {
-                        triplets.push(r, c, 0.0);
-                    }
-                }
-            } else {
-                for &(r, c) in &entries {
-                    triplets.push(r, c, 0.0);
-                }
-                // The diagonal is always part of the pattern: it keeps the
-                // factorisation's pivot structure stable even where no device
-                // stamps the diagonal directly.
-                for i in 0..n {
-                    triplets.push(i, i, 0.0);
-                }
+            for (r, c) in record_jacobian_pattern(circuit, &layout) {
+                triplets.push(r, c, 0.0);
+            }
+            // The diagonal is always part of the pattern: it keeps the
+            // factorisation's pivot structure stable even where no device
+            // stamps the diagonal directly.
+            for i in 0..n {
+                triplets.push(i, i, 0.0);
             }
             JacobianStorage::Sparse {
                 matrix: triplets.to_csr(),
@@ -1196,7 +1178,7 @@ impl TransientWorkspace {
     }
 
     /// Returns `true` if the workspace's Jacobian storage can absorb every
-    /// stamp `circuit` declares. Always true on the dense backend; on the
+    /// stamp `circuit` makes. Always true on the dense backend; on the
     /// sparse backend this catches a rewired circuit that kept the same
     /// layout but changed topology (its stamps would otherwise panic against
     /// the stale pattern).
@@ -1204,28 +1186,15 @@ impl TransientWorkspace {
         let JacobianStorage::Sparse { matrix, .. } = &self.jacobian else {
             return true;
         };
-        let n = self.layout.n;
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        let mut dense_fallback = false;
-        for (device, &extra_base) in circuit.devices().iter().zip(self.layout.extra_bases.iter()) {
-            let mut ctx = PatternContext::new(
-                self.layout.node_unknowns,
-                extra_base,
-                &mut entries,
-                &mut dense_fallback,
-            );
-            device.stamp_pattern(&mut ctx);
-        }
-        if dense_fallback {
-            return matrix.nnz() == n * n;
-        }
-        entries.iter().all(|&(r, c)| matrix.contains(r, c))
+        record_jacobian_pattern(circuit, &self.layout)
+            .into_iter()
+            .all(|(r, c)| matrix.contains(r, c))
     }
 
     /// Returns `true` when this workspace can be reused for `circuit` under
     /// `options` without rebuilding: the layout matches, the resolved solver
     /// backend is the same and (on the sparse backend) the stored sparsity
-    /// pattern covers every stamp the circuit declares. This is exactly the
+    /// pattern covers every stamp the circuit makes. This is exactly the
     /// precondition [`TransientAnalysis::run_with`] enforces, exposed so
     /// sweep/optimisation loops can decide between reuse and rebuild without
     /// provoking an error.
@@ -1374,6 +1343,62 @@ pub(crate) fn assemble_system_limited(
         None,
         junction_limit,
     );
+}
+
+/// The Jacobian positions `circuit`'s devices stamp, in stamping order and
+/// with repeats: each device's [`Device::stamp`](crate::device::Device::stamp)
+/// runs once through a recording [`JacobianView`] at `x = 0`, its
+/// [`Device::initial_state`](crate::device::Device::initial_state) and
+/// `t = 0`. The stamp contract makes the positions independent of those
+/// values, so this is the fixed pattern of every later assembly.
+fn record_jacobian_pattern(circuit: &Circuit, layout: &SystemLayout) -> Vec<(usize, usize)> {
+    let x = vec![0.0; layout.n];
+    let mut residual = vec![0.0; layout.n];
+    let mut states = vec![0.0; layout.total_states];
+    let mut new_states = vec![0.0; layout.total_states];
+    let mut entries = Vec::new();
+    for ((device, &extra_base), &state_base) in circuit
+        .devices()
+        .iter()
+        .zip(layout.extra_bases.iter())
+        .zip(layout.state_bases.iter())
+    {
+        let slots = state_base..state_base + device.state_count();
+        device.initial_state(&mut states[slots.clone()]);
+        let mut ctx = StampContext::new(
+            0.0,
+            1.0,
+            IntegrationMethod::default(),
+            &x,
+            &states[slots.clone()],
+            &mut new_states[slots],
+            &mut residual,
+            JacobianView::Record(&mut entries),
+            layout.node_unknowns,
+            extra_base,
+            true,
+        );
+        device.stamp(&mut ctx);
+    }
+    entries
+}
+
+/// The Jacobian positions `(row, col)` the devices of `circuit` stamp,
+/// sorted and de-duplicated: the sparsity pattern the sparse backend
+/// factorises, before the engine adds the diagonal. Rows and columns index
+/// the global unknowns (non-ground node voltages first, then each device's
+/// extra unknowns in insertion order).
+///
+/// # Errors
+///
+/// Returns [`MnaError::InvalidNetlist`] for a circuit
+/// [`TransientWorkspace::for_circuit`] would refuse.
+pub fn jacobian_pattern(circuit: &Circuit) -> Result<Vec<(usize, usize)>, MnaError> {
+    let layout = SystemLayout::for_circuit(circuit)?;
+    let mut entries = record_jacobian_pattern(circuit, &layout);
+    entries.sort_unstable();
+    entries.dedup();
+    Ok(entries)
 }
 
 /// The one stamping loop every assembly variant funnels through.
@@ -3310,8 +3335,8 @@ mod tests {
     }
 
     #[test]
-    fn default_stamp_pattern_falls_back_to_a_dense_pattern() {
-        /// A device that does not override `stamp_pattern`.
+    fn stamp_only_device_gets_its_recorded_sparse_pattern() {
+        /// A device that implements nothing beyond `name` and `stamp`.
         struct OpaqueConductor {
             a: NodeId,
             b: NodeId,
@@ -3335,14 +3360,25 @@ mod tests {
         ));
         c.add(OpaqueConductor { a: vin, b: out });
         c.add(Resistor::new("R", out, Circuit::GROUND, 100.0));
-        let result = TransientAnalysis::new(TransientOptions {
+        let options = TransientOptions {
             t_stop: 1e-5,
             dt: 1e-6,
             backend: SolverBackend::Sparse,
             ..TransientOptions::default()
-        })
-        .run(&c)
-        .unwrap();
+        };
+        // Unknowns: v(in), v(out), i(V). The opaque conductor's four
+        // entries, the source's two and the diagonal leave (out, i) and
+        // (i, out) structurally zero.
+        let ws = TransientWorkspace::for_circuit(&c, &options).unwrap();
+        let JacobianStorage::Sparse { matrix, .. } = &ws.jacobian else {
+            panic!("the sparse backend was requested");
+        };
+        let n = ws.unknown_count();
+        assert_eq!(n, 3);
+        assert_eq!(matrix.nnz(), 7);
+        assert!(matrix.nnz() < n * n);
+        assert!(!matrix.contains(1, 2) && !matrix.contains(2, 1));
+        let result = TransientAnalysis::new(options).run(&c).unwrap();
         // Voltage divider: 100 Ω over (100 Ω + 100 Ω).
         assert!((result.final_voltage(out) - 0.5).abs() < 1e-9);
     }

@@ -19,18 +19,11 @@
 //!   ([`fault::FaultInjector`]) the solver layer consults at factorisation,
 //!   residual and Krylov sites, so every recovery/fallback path is directly
 //!   testable instead of only incidentally reachable.
-//! * [`newton`] — damped Newton–Raphson for systems of nonlinear equations.
-//! * [`ode`] — explicit and implicit initial-value-problem integrators
-//!   (forward Euler, RK4, adaptive RKF45, semi-implicit Euler, backward Euler
-//!   and trapezoidal rule), used both by the standalone behavioural models and
-//!   as an independent cross-check of the circuit-level transient engine.
 //! * [`interp`] — linear and monotone-cubic (PCHIP) interpolation, used to
 //!   bridge the unspecified sections of the piecewise flux-linkage function.
 //! * [`extrap`] — Newton divided-difference polynomial extrapolation over
 //!   non-equidistant support points, the predictor of the adaptive
 //!   (LTE-controlled) transient time-stepper.
-//! * [`roots`] — scalar root bracketing (bisection, Brent), used e.g. to find
-//!   the mechanical resonance of a generator design.
 //! * [`stats`] — small statistics helpers (RMS, total harmonic distortion,
 //!   linear regression) used by the experiment harness.
 //! * [`complex`] — a minimal [`Complex64`](complex::Complex64) and the
@@ -63,9 +56,6 @@ pub mod gmres;
 pub mod interp;
 pub mod linalg;
 pub mod monodromy;
-pub mod newton;
-pub mod ode;
-pub mod roots;
 pub mod sparse;
 pub mod stats;
 
